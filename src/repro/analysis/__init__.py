@@ -13,7 +13,7 @@ tree on every push (``python -m repro lint``):
   unordered sets in decision code, no ``id()``-based ordering.
 * **T-series** (integer time): the simulation clock is integer
   nanoseconds; float literals or true division must not flow into
-  ``schedule``/``schedule_after``/``schedule_timer``.
+  ``schedule``/``schedule_after``/``schedule_timer``/``rearm_timer``.
 * **R-series** (resources): freelist packets must not outlive
   ``release()`` or escape into attributes/closures, and memo tables
   (ECMP next hops, gateway choices) must be invalidated by every

@@ -142,9 +142,10 @@ class LintConfig:
     #: Modules allowed to keep float time values (reporting/means).
     float_time_allow: tuple[str, ...] = (
         "repro.perf", "repro.metrics.*", "repro.experiments.*")
-    #: Method names whose first argument is a simulation time/delay.
+    #: Method names whose first argument is a simulation time/delay
+    #: (``rearm_timer`` takes its timer handle first, then the delay).
     time_apis: tuple[str, ...] = ("schedule", "schedule_after",
-                                  "schedule_timer")
+                                  "schedule_timer", "rearm_timer")
     #: Calls treated as producing integer time (not descended into).
     time_converters: tuple[str, ...] = ("int", "round", "usec", "msec",
                                         "len")

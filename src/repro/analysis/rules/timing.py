@@ -20,6 +20,8 @@ from repro.analysis.rules.common import call_name, contains_float_or_division
 
 #: Keyword names under which the time argument may be passed.
 _TIME_KEYWORDS = ("at", "delay")
+#: Positional index of the time argument where it is not the first.
+_TIME_ARG_INDEX = {"rearm_timer": 1}
 
 
 @rule
@@ -28,15 +30,21 @@ class FloatTimeArgRule(Rule):
 
     rule_id = "T201"
     summary = ("float or `/` division flows into schedule()/"
-               "schedule_after()/schedule_timer(); the clock is integer ns")
+               "schedule_after()/schedule_timer()/rearm_timer(); the clock "
+               "is integer ns")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         apis = module.config.time_apis
         converters = module.config.time_converters
         for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or call_name(node) not in apis:
+            if not isinstance(node, ast.Call):
                 continue
-            time_arg: ast.expr | None = node.args[0] if node.args else None
+            name = call_name(node)
+            if name is None or name not in apis:
+                continue
+            index = _TIME_ARG_INDEX.get(name, 0)
+            time_arg: ast.expr | None = (node.args[index]
+                                         if len(node.args) > index else None)
             if time_arg is None:
                 for keyword in node.keywords:
                     if keyword.arg in _TIME_KEYWORDS:
@@ -51,7 +59,7 @@ class FloatTimeArgRule(Rule):
                     else "true division (`/`)")
             yield self.finding(
                 module, hit.lineno, hit.col_offset,
-                f"{what} flows into {call_name(node)}(); simulation time is "
+                f"{what} flows into {name}(); simulation time is "
                 "integer nanoseconds — convert with usec()/msec()/round() "
                 "or use `//`")
 

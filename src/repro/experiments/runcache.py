@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
 #: 2: RunResult gained failed_flows / failure_reasons.
 #: 3: hybrid-fidelity engine — RunResult gained fidelity + fluid_*
 #: fields and run keys carry the fidelity knob.
-SCHEMA_VERSION = 3
+#: 4: timers share the event heap; none fires after a later event.
+SCHEMA_VERSION = 4
 
 _ENV_FLAG = "REPRO_RUNCACHE"
 _ENV_DIR = "REPRO_RUNCACHE_DIR"

@@ -7,14 +7,16 @@ summing many small per-hop delays, which matters because the paper's
 latency budget is built from 1 microsecond propagation delays and
 sub-microsecond serialization times.
 
-Cancellable timers (retransmission timeouts, health probes) live in a
-hashed timer wheel beside the heap.  Transports re-arm their RTO on
-every ACK; pushing each of those arms through the heap leaves a trail
-of dead entries that the run loop must pop and discard one by one.  The
-wheel gives O(1) arm and cancel, and cancelled timers are dropped in
-bulk when their bucket is swept, so they never churn the main heap.
-Live timers still fire in exact ``(time, sequence)`` order relative to
-heap events, keeping runs bit-deterministic.
+Cancellable timers (retransmission timeouts, health probes) live in the
+same heap, so events and timers share one ``(time, sequence)`` order by
+construction.  A timer's entry carries ``None`` in the callback slot and
+the :class:`Timer` handle in the argument slot; the run loop dispatches
+it inline.  Cancelling flags the handle and the dead entry is dropped
+when it is popped, as in ns-3's scheduler.  Transports re-arm their RTO
+on every ACK; :meth:`Engine.rearm_timer` postpones a live timer in place
+(the handle reserves a fresh key and keeps its one heap entry, which is
+re-filed under that key when it pops early), so ACKs leave no trail of
+dead entries behind.
 
 The engine is deliberately minimal; all protocol behaviour lives in the
 network objects (:mod:`repro.net`, :mod:`repro.vnet`, :mod:`repro.core`)
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import Any
 
 # Unit helpers: all simulation timestamps are integers in nanoseconds.
@@ -33,12 +35,6 @@ NANOSECOND = 1
 MICROSECOND = 1_000
 MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
-
-#: Timer-wheel geometry: 512 slots of ~65 us cover a 33 ms horizon in
-#: one revolution, matching the RTO range (100 us .. 64 ms) so a timer
-#: is examined at most a couple of times before it fires or dies.
-_WHEEL_SLOT_NS = 1 << 16
-_WHEEL_SLOTS = 512
 
 
 def usec(value: float) -> int:
@@ -58,10 +54,10 @@ class SimulationError(RuntimeError):
 class Timer:
     """A cancellable timer handle returned by :meth:`Engine.schedule_timer`.
 
-    ``deadline``/``seq`` form the same ordering key heap events use, so
-    a fired timer interleaves with same-time events exactly as if it had
-    been pushed onto the heap.  Timers order by that key directly, which
-    lets the engine's due list be a heap of Timer objects.
+    ``deadline``/``seq`` is the timer's key in the event heap.  A live
+    timer always has exactly one heap entry; after an in-place
+    :meth:`Engine.rearm_timer` that entry may sit under an older, smaller
+    key until it is popped and re-filed under ``(deadline, seq)``.
     """
 
     __slots__ = ("deadline", "seq", "callback", "args", "alive")
@@ -73,11 +69,6 @@ class Timer:
         self.callback = callback
         self.args = args
         self.alive = True
-
-    def __lt__(self, other: Timer) -> bool:
-        if self.deadline != other.deadline:
-            return self.deadline < other.deadline
-        return self.seq < other.seq
 
 
 class PeriodicTask:
@@ -120,27 +111,17 @@ class Engine:
         ['b', 'a']
     """
 
-    def __init__(self, wheel_slots: int = _WHEEL_SLOTS) -> None:
-        if wheel_slots < 1:
-            raise SimulationError(f"wheel_slots must be positive, got {wheel_slots}")
-        self._queue: list[tuple[int, int, Callable[..., None], tuple]] = []
+    def __init__(self) -> None:
+        #: Events ``(at, seq, callback, args)`` and timer entries
+        #: ``(deadline, seq, None, timer)`` in one heap.
+        self._queue: list[tuple[int, int, Callable[..., None] | None, Any]] = []
         self._sequence = 0
         self._now = 0
         self._events_processed = 0
         self._stopped = False
-        # Hashed timer wheel (lazy deletion, swept in bucket order).
-        # The slot count scales with expected concurrent timers — large
-        # topologies pass a wider wheel so buckets stay short — without
-        # affecting event order, which is always (deadline, seq).
-        self._wheel_slots = wheel_slots
-        self._wheel: list[list[Timer]] = [[] for _ in range(wheel_slots)]
         self._live_timers = 0
-        #: Absolute slot index up to which buckets have been swept.
-        self._wheel_cursor = 0
-        #: Lower bound on the earliest live timer deadline; lets the run
-        #: loop skip the wheel entirely while no timer can be due.
-        self._timer_bound = 0
-        self._due: list[Timer] = []
+        #: Entries of cancelled timers still in the heap.
+        self._dead_entries = 0
 
     @property
     def now(self) -> int:
@@ -155,12 +136,24 @@ class Engine:
     @property
     def pending_events(self) -> int:
         """Number of events still waiting (calendar + live timers)."""
-        return len(self._queue) + self._live_timers
+        return len(self._queue) - self._dead_entries
 
     @property
     def pending_timers(self) -> int:
         """Number of armed (not cancelled, not fired) timers."""
         return self._live_timers
+
+    def pending_args(self) -> Iterator[tuple]:
+        """Argument tuples of every pending event and live timer.
+
+        Yielded in heap order, not firing order; for inspection (the
+        conservation oracle counts packets held by pending calls).
+        """
+        for _at, _seq, callback, args in self._queue:
+            if callback is not None:
+                yield args
+            elif args.alive:
+                yield args.args
 
     def schedule(self, at: int, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at absolute time ``at``.
@@ -217,31 +210,22 @@ class Engine:
             self.schedule_after(task.period_ns, self._fire_periodic, task)
 
     # ------------------------------------------------------------------
-    # cancellable timers (hashed timer wheel)
+    # cancellable timers
     # ------------------------------------------------------------------
     def schedule_timer(self, delay: int, callback: Callable[..., None],
                        *args: Any) -> Timer:
         """Arm a cancellable timer ``delay`` ns from now.
 
-        Returns a :class:`Timer` handle for :meth:`cancel_timer`.  Use
-        this for timers that are usually cancelled or re-armed before
-        firing (retransmission timeouts, probe timers): arm and cancel
-        are O(1) and dead timers never pass through the event heap.
+        Returns a :class:`Timer` handle for :meth:`cancel_timer` and
+        :meth:`rearm_timer`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         deadline = self._now + delay
-        timer = Timer(deadline, self._sequence, callback, args)
-        self._sequence += 1
-        slot = deadline // _WHEEL_SLOT_NS
-        if slot < self._wheel_cursor:
-            # Deadline falls in the already-swept part of the current
-            # bucket sweep window: deliver via the due heap directly.
-            heapq.heappush(self._due, timer)
-        else:
-            self._wheel[slot % self._wheel_slots].append(timer)
-        if self._live_timers == 0 or deadline < self._timer_bound:
-            self._timer_bound = deadline
+        seq = self._sequence
+        timer = Timer(deadline, seq, callback, args)
+        heapq.heappush(self._queue, (deadline, seq, None, timer))
+        self._sequence = seq + 1
         self._live_timers += 1
         return timer
 
@@ -250,52 +234,31 @@ class Engine:
         if timer is not None and timer.alive:
             timer.alive = False
             self._live_timers -= 1
+            self._dead_entries += 1
 
-    def _sweep_wheel(self, limit: int) -> None:
-        """Collect timers with ``deadline < limit`` into the due list.
+    def rearm_timer(self, timer: Timer | None, delay: int,
+                    callback: Callable[..., None], *args: Any) -> Timer:
+        """Re-arm ``timer`` to fire ``callback(*args)`` ``delay`` ns from now.
 
-        Sweeps buckets from the cursor up to ``limit``'s slot, dropping
-        cancelled timers and keeping not-yet-due ones (future wheel
-        revolutions) in place.  Also tightens the timer bound so the
-        run loop can skip the wheel until the next candidate deadline.
+        Fires exactly as ``cancel_timer(timer)`` followed by
+        ``schedule_timer(delay, callback, *args)`` would, and returns the
+        handle to keep.  When ``timer`` is live and the new deadline is
+        not earlier than its current one, the timer is postponed in
+        place: it reserves a fresh ``(deadline, seq)`` key and keeps its
+        single heap entry, whose older key pops first and re-files it.
         """
-        wheel = self._wheel
-        due = self._due
-        limit_slot = limit // _WHEEL_SLOT_NS
-        first = self._wheel_cursor
-        # One full revolution visits every bucket; going further would
-        # revisit them.
-        last = min(limit_slot, first + self._wheel_slots - 1)
-        next_bound = None
-        for abs_slot in range(first, last + 1):
-            bucket = wheel[abs_slot % self._wheel_slots]
-            if not bucket:
-                continue
-            keep = None
-            for timer in bucket:
-                if not timer.alive:
-                    continue
-                if timer.deadline < limit:
-                    due.append(timer)
-                else:
-                    if keep is None:
-                        keep = []
-                    keep.append(timer)
-                    if next_bound is None or timer.deadline < next_bound:
-                        next_bound = timer.deadline
-            bucket.clear()
-            if keep:
-                bucket.extend(keep)
-        self._wheel_cursor = last if last > first else first
-        if due:
-            heapq.heapify(due)
-            self._timer_bound = due[0].deadline
-        elif next_bound is not None:
-            self._timer_bound = next_bound
-        else:
-            # No live timer found within the swept window; the earliest
-            # possible deadline is the start of the unswept region.
-            self._timer_bound = max(limit, self._wheel_cursor * _WHEEL_SLOT_NS)
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        deadline = self._now + delay
+        if timer is None or not timer.alive or deadline < timer.deadline:
+            self.cancel_timer(timer)
+            return self.schedule_timer(delay, callback, *args)
+        timer.deadline = deadline
+        timer.seq = self._sequence
+        self._sequence += 1
+        timer.callback = callback
+        timer.args = args
+        return timer
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -323,102 +286,40 @@ class Engine:
         # Bind the loop's hot names to locals: each lookup saved here is
         # saved once per simulated event.
         queue = self._queue
-        due = self._due
         heappop = heapq.heappop
+        heappush = heapq.heappush
         processed = self._events_processed
         processed_limit = None
         if max_events is not None:
             processed_limit = processed + max_events
-        exhausted = False
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            heappush = heapq.heappush
-            while not self._stopped:
-                if queue:
-                    # Fast path: pop optimistically; nothing on the due
-                    # list and every live timer provably fires after the
-                    # heap head (``_timer_bound`` is a lower bound), so
-                    # the head event runs without consulting the wheel.
-                    # The rare slow path pushes the event back — its
-                    # (time, seq) key is unique, so the heap order is
-                    # restored exactly.
-                    head = heappop(queue)
-                    at = head[0]
-                    if not due and (not self._live_timers
-                                    or self._timer_bound > at):
-                        if until is not None and at > until:
-                            heappush(queue, head)
-                            self._now = until
-                            self._events_processed = processed
-                            return until
-                        self._now = at
-                        head[2](*head[3])
-                        processed += 1
-                        if processed_limit is not None \
-                                and processed >= processed_limit:
-                            break
-                        continue
-                    heappush(queue, head)
-                    head = queue[0]
-                else:
-                    head = None
-                if self._live_timers or due:
-                    # Make every timer that must fire before (or tied
-                    # after) the heap head visible on the due list, then
-                    # pick the earlier of the two by the shared
-                    # (time, seq) key.
-                    sweep_limit = head[0] + 1 if head is not None else (
-                        until + 1 if until is not None
-                        else self._timer_bound + _WHEEL_SLOT_NS)
-                    if not due and self._timer_bound < sweep_limit:
-                        self._sweep_wheel(sweep_limit)
-                        while due and not due[0].alive:
-                            heappop(due)
-                    if due:
-                        timer = due[0]
-                        if not timer.alive:
-                            heappop(due)
-                            continue
-                        if head is None or (timer.deadline, timer.seq) < head[:2]:
-                            at = timer.deadline
-                            if until is not None and at > until:
-                                self._now = until
-                                self._events_processed = processed
-                                return until
-                            heappop(due)
-                            timer.alive = False
-                            self._live_timers -= 1
-                            self._now = at
-                            timer.callback(*timer.args)
-                            processed += 1
-                            if processed_limit is not None \
-                                    and processed >= processed_limit:
-                                break
-                            continue
-                if head is None:
-                    if self._live_timers and until is None:
-                        # Heap empty and nothing due within the swept
-                        # window, but live timers remain in later wheel
-                        # revolutions.  Keep sweeping forward — the
-                        # timer bound advances monotonically each pass,
-                        # so the earliest timer comes due in finitely
-                        # many sweeps.  (With `until` set this cannot
-                        # happen: the sweep to `until + 1` visits every
-                        # bucket, so an empty due list proves all
-                        # remaining timers are later than `until`.)
-                        continue
-                    exhausted = True
-                    break
-                at = head[0]
+            while queue and not self._stopped:
+                at, seq, callback, args = heappop(queue)
                 if until is not None and at > until:
+                    heappush(queue, (at, seq, callback, args))
                     self._now = until
-                    self._events_processed = processed
-                    return until
-                _at, _seq, callback, args = heappop(queue)
-                self._now = at
-                callback(*args)
+                    break
+                if callback is not None:
+                    self._now = at
+                    callback(*args)
+                else:
+                    # Timer entry: drop it if cancelled, re-file it if
+                    # postponed since it was pushed, otherwise fire it.
+                    # Neither drop nor re-file counts as an event.
+                    timer = args
+                    if not timer.alive:
+                        self._dead_entries -= 1
+                        continue
+                    if timer.seq != seq:
+                        heappush(queue, (timer.deadline, timer.seq, None, timer))
+                        continue
+                    timer.alive = False
+                    self._live_timers -= 1
+                    self._now = at
+                    timer.callback(*timer.args)
                 processed += 1
                 if processed_limit is not None and processed >= processed_limit:
                     break
@@ -427,6 +328,6 @@ class Engine:
                 gc.enable()
         self._events_processed = processed
         if until is not None and self._now < until \
-                and (exhausted or (not queue and not due and not self._live_timers)):
+                and len(queue) == self._dead_entries:
             self._now = until
         return self._now

@@ -186,13 +186,10 @@ class ReliableSender:
 
     # ------------------------------------------------------------------
     def _arm_timer(self) -> None:
-        # Re-arming cancels the previous timer in O(1); the dead entry
-        # is discarded in bulk when its wheel bucket is swept instead of
-        # churning through the main event heap.
-        engine = self.engine
-        engine.cancel_timer(self._timer)
-        self._timer = engine.schedule_timer(self.rto_ns, self._on_timeout,
-                                            self.snd_una)
+        # Every ACK re-arms the RTO; a later deadline postpones the
+        # armed timer in place, so ACKs push nothing onto the heap.
+        self._timer = self.engine.rearm_timer(self._timer, self.rto_ns,
+                                              self._on_timeout, self.snd_una)
 
     def _on_timeout(self, una_at_arm: int) -> None:
         self._timer = None

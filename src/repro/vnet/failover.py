@@ -112,8 +112,8 @@ class GatewayFailureDetector:
         self._misses: dict[int, int] = {}
         self._watched: set[int] = set()
         self._started = False
-        #: Armed probe timers by gateway PIP (wheel timers, so stopping
-        #: the detector cancels them in O(1) without heap churn).
+        #: Armed probe timers by gateway PIP (cancellable, so stopping
+        #: the detector disarms them in O(1)).
         self._probe_timers: dict[int, object] = {}
         #: Per-gateway gray-health state: shed-rate / latency EWMAs,
         #: gateways currently failed out for gray degradation, and the

@@ -71,22 +71,15 @@ class VirtualNetwork:
         self.config = config
         self.scheme = scheme
         self.collector = collector if collector is not None else Collector()
-        # Timer-wheel width and freelist headroom scale with the
-        # topology: concurrent armed timers and in-flight packets both
-        # grow with the server count, and a wheel sized for FT8 leaves
-        # k=32 buckets hundreds deep.  Neither knob affects event
-        # order, so results stay bit-identical across sizings.
-        servers = config.spec.num_servers
-        wheel_slots = 512
-        while wheel_slots < servers and wheel_slots < 8192:
-            wheel_slots *= 2
-        self.engine = Engine(wheel_slots=wheel_slots)
+        self.engine = Engine()
         self.streams = RandomStreams(config.seed)
         self.fabric = Fabric(self.engine, config.spec)
         self.database = MappingDatabase()
         #: Shared freelist recycling DATA/ACK packets across all hosts;
-        #: steady-state traffic allocates no new packet objects.
-        self.packet_pool = PacketPool(max_free=max(65536, 16 * servers))
+        #: steady-state traffic allocates no new packet objects.  Its
+        #: headroom scales with the server count, as in-flight packets do.
+        self.packet_pool = PacketPool(
+            max_free=max(65536, 16 * config.spec.num_servers))
         self.hosts: list[Host] = []
         self.host_by_pip: dict[int, Host] = {}
         self.gateways: list[Gateway] = []

@@ -33,6 +33,7 @@ from repro.faults import (
     generate_schedule,
 )
 from repro.faults.fuzz import gray_fuzz_config
+from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import msec, usec
 from repro.transport.flow import FlowSpec
 from repro.transport.player import TrafficPlayer
@@ -273,6 +274,26 @@ def test_oracles_clean_on_healthy_run():
     suite.finish(msec(20))
     assert suite.violations == []
     assert all(r.completed for r in records)
+
+
+def test_conservation_counts_packets_held_by_live_timers_only():
+    network = small_network(NoCache(), num_vms=8)
+    suite = OracleSuite(network)
+    engine = network.engine
+    before = suite._in_flight()
+
+    def held(seq):
+        return (lambda packet: None,
+                Packet(PacketKind.DATA, 0, seq, 100, 0, 1, 0))
+
+    engine.schedule_timer(usec(5), *held(0))
+    engine.cancel_timer(engine.schedule_timer(usec(5), *held(1)))
+    postponed = engine.schedule_timer(usec(5), *held(2))
+    engine.rearm_timer(postponed, usec(9), *held(3))
+    assert suite._in_flight() == before + 2
+    # The armed timer fires; the postponed one is re-filed and stays.
+    network.run(until=usec(6))
+    assert suite._in_flight() == before + 1
 
 
 def test_canary_oracle_always_trips():

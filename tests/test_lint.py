@@ -51,7 +51,7 @@ CASES = [
     ("D103", "bad_d103.py", 3, "good_d103.py"),
     ("D104", "bad_d104.py", 3, "good_d104.py"),
     ("D110", "bad_d110.py", 3, "good_d110.py"),
-    ("T201", "bad_t201.py", 3, "good_t201.py"),
+    ("T201", "bad_t201.py", 4, "good_t201.py"),
     ("T202", "bad_t202.py", 3, "good_t202.py"),
     ("R301", "bad_r301.py", 1, "good_r301.py"),
     ("R302", "bad_r302.py", 3, "good_r302.py"),
