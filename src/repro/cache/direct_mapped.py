@@ -14,8 +14,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
-_EMPTY = -1
-_MIX = 2654435761  # Knuth multiplicative hash constant.
+#: Key register value of an empty line.
+EMPTY_KEY = -1
+#: Knuth multiplicative hash constant of the slot hash
+#: ``(((vip ^ salt) * SLOT_MIX) & 0xFFFFFFFF) % num_slots``.
+SLOT_MIX = 2654435761
 
 
 class InsertResult(NamedTuple):
@@ -79,7 +82,7 @@ class DirectMappedCache:
             raise ValueError(f"negative cache size: {num_slots}")
         self.num_slots = num_slots
         self.salt = salt
-        self._keys = [_EMPTY] * num_slots
+        self._keys = [EMPTY_KEY] * num_slots
         self._values = [0] * num_slots
         self._abits = [0] * num_slots
         self.stats = CacheStats()
@@ -104,29 +107,31 @@ class DirectMappedCache:
         self.__class__ = _ObservedDirectMappedCache
 
     def _slot(self, vip: int) -> int:
-        return (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        return (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
 
     # ------------------------------------------------------------------
     # data-plane primitives
     # ------------------------------------------------------------------
-    # ``lookup``/``insert`` inline the ``_slot`` hash: both run on every
-    # switch hop of every packet, so the method-call overhead is one of
-    # the simulator's largest single line items.  The observed subclass
-    # below duplicates these bodies with the notification added; keep
-    # the two in sync when changing cache semantics.
+    # ``lookup``/``insert`` inline the ``_slot`` hash to save a call per
+    # operation.  These semantics exist in three copies: these bodies,
+    # the observed subclass below (plus the ``on_mutate`` firing), and
+    # the SwitchV2P per-hop body (``repro.core.protocol``), which works
+    # on the register arrays directly.  Change all three together;
+    # ``tests/test_switchv2p_hop.py`` compares the hop body against
+    # these methods.
     def lookup(self, vip: int) -> int | None:
         """Look up ``vip``; maintains the access bit (hit=set, miss=clear)."""
         stats = self.stats
         stats.lookups += 1
         if self.num_slots == 0:
             return None
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         key = self._keys[slot]
         if key == vip:
             self._abits[slot] = 1
             stats.hits += 1
             return self._values[slot]
-        if key != _EMPTY:
+        if key != EMPTY_KEY:
             # The line was consulted and did not help: age it.
             abits = self._abits
             if abits[slot]:
@@ -143,7 +148,7 @@ class DirectMappedCache:
         if self.num_slots == 0:
             self.stats.rejections += 1
             return _REJECTED
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         keys = self._keys
         values = self._values
         key = keys[slot]
@@ -151,7 +156,7 @@ class DirectMappedCache:
             values[slot] = pip
             return _ADMITTED
         stats = self.stats
-        if key != _EMPTY:
+        if key != EMPTY_KEY:
             if only_if_clear and self._abits[slot] == 1:
                 stats.rejections += 1
                 return _REJECTED
@@ -178,12 +183,12 @@ class DirectMappedCache:
         """
         if self.num_slots == 0:
             return False
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         if self._keys[slot] != vip:
             return False
         if stale_pip is not None and self._values[slot] != stale_pip:
             return False
-        self._keys[slot] = _EMPTY
+        self._keys[slot] = EMPTY_KEY
         self._abits[slot] = 0
         self.stats.invalidations += 1
         return True
@@ -201,7 +206,7 @@ class DirectMappedCache:
             ``(vip, old_pip, new_pip)`` for the corrupted line, or None
             when the cache is empty (logged no-op).
         """
-        occupied = [slot for slot, key in enumerate(self._keys) if key != _EMPTY]
+        occupied = [slot for slot, key in enumerate(self._keys) if key != EMPTY_KEY]
         if not occupied:
             return None
         slot = occupied[ordinal % len(occupied)]
@@ -236,17 +241,17 @@ class DirectMappedCache:
 
     def occupancy(self) -> int:
         """Number of occupied lines."""
-        return sum(1 for key in self._keys if key != _EMPTY)
+        return sum(1 for key in self._keys if key != EMPTY_KEY)
 
     def entries(self) -> list[tuple[int, int, int]]:
         """All ``(vip, pip, access_bit)`` triples currently cached."""
         return [(key, self._values[slot], self._abits[slot])
-                for slot, key in enumerate(self._keys) if key != _EMPTY]
+                for slot, key in enumerate(self._keys) if key != EMPTY_KEY]
 
     def clear(self) -> None:
         """Empty the cache (control-plane reset; stats are preserved)."""
         for slot in range(self.num_slots):
-            self._keys[slot] = _EMPTY
+            self._keys[slot] = EMPTY_KEY
             self._abits[slot] = 0
 
     def __len__(self) -> int:
@@ -274,13 +279,13 @@ class _ObservedDirectMappedCache(DirectMappedCache):
         stats.lookups += 1
         if self.num_slots == 0:
             return None
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         key = self._keys[slot]
         if key == vip:
             self._abits[slot] = 1
             stats.hits += 1
             return self._values[slot]
-        if key != _EMPTY:
+        if key != EMPTY_KEY:
             # The line was consulted and did not help: age it.
             abits = self._abits
             if abits[slot]:
@@ -295,7 +300,7 @@ class _ObservedDirectMappedCache(DirectMappedCache):
         if self.num_slots == 0:
             self.stats.rejections += 1
             return _REJECTED
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         keys = self._keys
         values = self._values
         key = keys[slot]
@@ -303,7 +308,7 @@ class _ObservedDirectMappedCache(DirectMappedCache):
             values[slot] = pip
             return _ADMITTED
         stats = self.stats
-        if key != _EMPTY:
+        if key != EMPTY_KEY:
             if only_if_clear and self._abits[slot] == 1:
                 stats.rejections += 1
                 return _REJECTED
@@ -330,12 +335,12 @@ class _ObservedDirectMappedCache(DirectMappedCache):
         """Observed :meth:`DirectMappedCache.invalidate`."""
         if self.num_slots == 0:
             return False
-        slot = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_slots
+        slot = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_slots
         if self._keys[slot] != vip:
             return False
         if stale_pip is not None and self._values[slot] != stale_pip:
             return False
-        self._keys[slot] = _EMPTY
+        self._keys[slot] = EMPTY_KEY
         self._abits[slot] = 0
         self.stats.invalidations += 1
         cb = self.on_mutate

@@ -34,9 +34,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable
 
-from repro.cache.direct_mapped import CacheStats, InsertResult
-
-_MIX = 2654435761
+from repro.cache.direct_mapped import SLOT_MIX, CacheStats, InsertResult
 
 
 class SetAssociativeCache:
@@ -82,7 +80,7 @@ class SetAssociativeCache:
         self.__class__ = _ObservedSetAssociativeCache
 
     def _set_of(self, vip: int) -> OrderedDict[int, list[int]]:
-        index = (((vip ^ self.salt) * _MIX) & 0xFFFFFFFF) % self.num_sets
+        index = (((vip ^ self.salt) * SLOT_MIX) & 0xFFFFFFFF) % self.num_sets
         return self._sets[index]
 
     # ------------------------------------------------------------------

@@ -19,12 +19,23 @@ cache with per-role admission policies and four special functions:
 from __future__ import annotations
 
 from repro.baselines.caching import CachingScheme
+from repro.cache.direct_mapped import (
+    EMPTY_KEY,
+    SLOT_MIX,
+    DirectMappedCache,
+    _ObservedDirectMappedCache,
+)
 from repro.core.allocation import UNIFORM, AllocationPolicy, distribute_slots
 from repro.core.config import SwitchV2PConfig
 from repro.core.roles import Role, assign_roles
 from repro.net.addresses import pip_pod, pip_rack
 from repro.net.node import Layer, Switch
-from repro.net.packet import Packet, PacketKind
+from repro.net.packet import (
+    ENTRY_OPTION_BYTES,
+    TAG_WORD_BYTES,
+    Packet,
+    PacketKind,
+)
 from repro.vnet.hypervisor import Host
 from repro.vnet.network import VirtualNetwork
 
@@ -40,9 +51,13 @@ _ACK = PacketKind.ACK
 _LEARNING = PacketKind.LEARNING
 _LAYER_TOR = Layer.TOR
 _ROLE_TOR = Role.TOR
+_ROLE_CORE = Role.CORE
 _ROLE_SPINE = Role.SPINE
 _ROLE_GATEWAY_TOR = Role.GATEWAY_TOR
 _ROLE_GATEWAY_SPINE = Role.GATEWAY_SPINE
+
+#: Cache classes whose hops run on the register arrays in place.
+_DIRECT_MAPPED = (DirectMappedCache, _ObservedDirectMappedCache)
 
 
 class _CacheTable(dict):
@@ -114,11 +129,12 @@ class SwitchV2P(CachingScheme):
             raise ValueError(f"associativity must be >= 1, got {cache_ways}")
         self.cache_ways = cache_ways
         self.roles: dict[int, Role] = {}
-        #: Derived view joining ``roles`` and ``caches`` so the per-hop
-        #: hot path does one dict lookup instead of two.  Rebuilt by
-        #: ``setup``/``on_switch_reset``/``reassign_roles`` whenever
-        #: either source table changes.
-        self._hot: dict[int, tuple[Role, object]] = {}
+        #: Derived view ``switch_id -> (role, cache, direct)`` joining
+        #: ``roles`` and ``caches`` so the per-hop hot path does one
+        #: dict lookup instead of two; ``direct`` selects the
+        #: register-array hop.  Rebuilt by ``setup``/``on_switch_reset``/
+        #: ``reassign_roles`` whenever either source table changes.
+        self._hot: dict[int, tuple[Role, object, bool]] = {}
         self._collector = None
         self._learn_rng = None
         self._control_flow_seq = _CONTROL_FLOW_BASE
@@ -198,8 +214,15 @@ class SwitchV2P(CachingScheme):
 
     def _rebuild_hot_table(self) -> None:
         caches = self._caches
-        self._hot = {switch_id: (role, caches.get(switch_id))
-                     for switch_id, role in self.roles.items()}
+        hot = {}
+        for switch_id, role in self.roles.items():
+            cache = caches.get(switch_id)
+            # The register-array hop serves direct-mapped caches with at
+            # least one line; attach_observer's class swap keeps a cache
+            # inside _DIRECT_MAPPED, so the flag survives it.
+            direct = type(cache) in _DIRECT_MAPPED and cache.num_slots > 0
+            hot[switch_id] = (role, cache, direct)
+        self._hot = hot
 
     def reassign_roles(self) -> None:
         """Recompute switch roles after a gateway move (paper §4).
@@ -230,12 +253,14 @@ class SwitchV2P(CachingScheme):
     # ------------------------------------------------------------------
     def on_switch(self, switch: Switch, packet: Packet, ingress) -> bool:
         # Per-hop hot path: every data/ack packet runs this body at
-        # every switch it crosses.  The cache is fetched exactly once,
-        # packet option fields are read through their private slots
-        # (the properties exist for their setters' wire-size
-        # invalidation), and the Table 1 learning policies are inlined
-        # here instead of dispatching through learn_destination()/
-        # learn_source() — same semantics, a third of the calls.
+        # every switch it crosses.  With a direct-mapped cache (the
+        # paper's hardware design) the hop works on the cache's register
+        # arrays and stats in place, as the P4 pipeline does, instead of
+        # calling lookup()/insert(); other caches take the method-based
+        # body in _on_switch_methods().  Packet option fields are read
+        # through their private slots, and the Table 1 learning policies
+        # are inlined here instead of dispatching through
+        # learn_destination()/learn_source().
         kind = packet.kind
         if kind > _ACK:
             if kind is _LEARNING:
@@ -244,7 +269,7 @@ class SwitchV2P(CachingScheme):
             return True
 
         config = self.config
-        role, cache = self._hot[switch.switch_id]
+        role, cache, direct = self._hot[switch.switch_id]
         if not config.role_aware:
             role = None
 
@@ -268,20 +293,179 @@ class SwitchV2P(CachingScheme):
         ):
             self._tag_misdelivered(switch, packet)
 
+        if not direct:
+            return self._on_switch_methods(switch, packet, role, cache)
+
+        # Register-array hop.  Each block below is one cache operation
+        # of DirectMappedCache, inlined: the same array writes and
+        # CacheStats updates, and ``on_mutate`` fired exactly where the
+        # observed subclass fires it (new key, eviction, conflict
+        # access-bit clear; never a hit, refresh or rejection), before
+        # the packet's option words change.
+        keys = cache._keys
+        values = cache._values
+        abits = cache._abits
+        stats = cache.stats
+        salt = cache.salt
+        num_slots = cache.num_slots
+        negative = self._negative
+
         # 2. Pick up in-band metadata: spilled entries (any non-core
-        #    switch) and promotions (cores only).
-        if packet._spill_entry is not None and config.enable_spillover:
-            self._try_pickup_spill(switch, packet, role, cache)
-        if packet._promote_entry is not None and (role == Role.CORE
+        #    switch; spines and gateway spines admit conservatively,
+        #    never evicting a hot line) and promotions (cores only).
+        spill = packet._spill_entry
+        if spill is not None and config.enable_spillover \
+                and role is not _ROLE_CORE:
+            vip, pip = spill
+            if not (negative and self._negative_blocks(vip, pip)):
+                slot = (((vip ^ salt) * SLOT_MIX) & 0xFFFFFFFF) % num_slots
+                key = keys[slot]
+                if key == vip:
+                    values[slot] = pip
+                    admitted = True
+                    evicted = None
+                elif key == EMPTY_KEY:
+                    keys[slot] = vip
+                    values[slot] = pip
+                    abits[slot] = 0
+                    stats.insertions += 1
+                    cb = cache.on_mutate
+                    if cb is not None:
+                        cb()
+                    admitted = True
+                    evicted = None
+                elif abits[slot] == 1 and (role is _ROLE_SPINE
+                                           or role is _ROLE_GATEWAY_SPINE):
+                    stats.rejections += 1
+                    admitted = False
+                else:
+                    evicted = (key, values[slot])
+                    keys[slot] = vip
+                    values[slot] = pip
+                    abits[slot] = 0
+                    stats.insertions += 1
+                    stats.evictions += 1
+                    cb = cache.on_mutate
+                    if cb is not None:
+                        cb()
+                    admitted = True
+                if admitted:
+                    packet._spill_entry = evicted
+                    if evicted is None:
+                        packet._wire_bytes -= ENTRY_OPTION_BYTES
+                    self.spillovers_reinserted += 1
+                    self._collector.spillover_inserts += 1
+        if packet._promote_entry is not None and (role is _ROLE_CORE
                                                   or not config.role_aware):
             self._admit_promotion(switch, packet, cache)
 
         # 3. Lookup for unresolved packets, with spine promotion on a
         #    hot hit (access bit already set) for pod-leaving packets.
-        #    The untagged case — every lookup except the short window
-        #    after a migration — is the body of try_resolve() minus the
-        #    misdelivery-tag protocol; tagged packets take the full
-        #    method.
+        #    Misdelivery-tagged packets carrying their stale mapping
+        #    take try_resolve() and its invalidate-first protocol.
+        if not packet.resolved:
+            vip = packet.dst_vip
+            slot = (((vip ^ salt) * SLOT_MIX) & 0xFFFFFFFF) % num_slots
+            key = keys[slot]
+            hot_before = (role is _ROLE_SPINE and key == vip
+                          and abits[slot] == 1 and config.enable_promotion)
+            if packet._misdelivery_tag and packet._carried_mapping is not None:
+                resolved_here = self.try_resolve(switch, packet, cache)
+            else:
+                stats.lookups += 1
+                if key == vip:
+                    abits[slot] = 1
+                    stats.hits += 1
+                    packet.outer_dst = values[slot]
+                    packet.resolved = True
+                    if not packet._misdelivery_tag and packet._hit_switch is None:
+                        packet._wire_bytes += TAG_WORD_BYTES
+                    packet._hit_switch = switch.switch_id
+                    self._collector.record_hit(
+                        switch.layer, kind is _DATA and packet.seq == 0)
+                    resolved_here = True
+                else:
+                    if key != EMPTY_KEY and abits[slot]:
+                        # The line was consulted and did not help: age it.
+                        abits[slot] = 0
+                        cb = cache.on_mutate
+                        if cb is not None:
+                            cb()
+                    resolved_here = False
+            if resolved_here and hot_before \
+                    and pip_pod(packet.outer_dst) != switch.pod:
+                packet.promote_entry = (packet.dst_vip, packet.outer_dst)
+                self.promotions_sent += 1
+
+        # 4. Learning (Table 1), one policy per role: ToRs learn the
+        #    source, the others the resolved destination.  Cores learn
+        #    only from promotions (handled in the pickup above).
+        #    Gateway ToRs also send learning packets (§3.2.2).
+        learn = send_learning = False
+        if role is _ROLE_TOR:
+            vip = packet.src_vip
+            pip = packet.outer_src
+            learn = True
+        elif packet.resolved and role is not _ROLE_CORE:
+            vip = packet.dst_vip
+            pip = packet.outer_dst
+            if role is _ROLE_GATEWAY_TOR:
+                send_learning = True
+                if config.learning_packet_on_new_only:
+                    slot = (((vip ^ salt) * SLOT_MIX) & 0xFFFFFFFF) % num_slots
+                    send_learning = keys[slot] != vip or values[slot] != pip
+            learn = not (negative and self._negative_blocks(vip, pip))
+        if learn:
+            slot = (((vip ^ salt) * SLOT_MIX) & 0xFFFFFFFF) % num_slots
+            key = keys[slot]
+            if key == vip:
+                values[slot] = pip
+            elif key == EMPTY_KEY:
+                keys[slot] = vip
+                values[slot] = pip
+                abits[slot] = 0
+                stats.insertions += 1
+                cb = cache.on_mutate
+                if cb is not None:
+                    cb()
+            elif abits[slot] == 1 and (role is _ROLE_SPINE
+                                       or role is _ROLE_GATEWAY_SPINE):
+                # Conservative admission: never evict a hot line.
+                stats.rejections += 1
+            else:
+                evicted = (key, values[slot])
+                keys[slot] = vip
+                values[slot] = pip
+                abits[slot] = 0
+                stats.insertions += 1
+                stats.evictions += 1
+                cb = cache.on_mutate
+                if cb is not None:
+                    cb()
+                if config.enable_spillover:
+                    if packet._spill_entry is None:
+                        packet._wire_bytes += ENTRY_OPTION_BYTES
+                    packet._spill_entry = evicted
+        if send_learning:
+            self._maybe_send_learning_packet(switch, packet)
+        return True
+
+    def _on_switch_methods(self, switch: Switch, packet: Packet,
+                           role: Role | None, cache) -> bool:
+        """Steps 2–4 of :meth:`on_switch` through the cache's methods.
+
+        Serves every cache that is not direct-mapped — the
+        set-associative ablation, multi-tenant partitioned caches, a
+        zero-slot share — and switches without a cache.  It is also the
+        reference the register-array hop is tested against.
+        """
+        config = self.config
+        if packet._spill_entry is not None and config.enable_spillover:
+            self._try_pickup_spill(switch, packet, role, cache)
+        if packet._promote_entry is not None and (role is _ROLE_CORE
+                                                  or not config.role_aware):
+            self._admit_promotion(switch, packet, cache)
+
         if not packet.resolved and cache is not None:
             hot_before = (
                 role is _ROLE_SPINE
@@ -299,15 +483,14 @@ class SwitchV2P(CachingScheme):
                     packet.resolved = True
                     packet.hit_switch = switch.switch_id
                     self._collector.record_hit(
-                        switch.layer, kind is _DATA and packet.seq == 0)
+                        switch.layer,
+                        packet.kind is _DATA and packet.seq == 0)
                     resolved_here = True
             if resolved_here and hot_before \
                     and pip_pod(packet.outer_dst) != switch.pod:
                 packet.promote_entry = (packet.dst_vip, packet.outer_dst)
                 self.promotions_sent += 1
 
-        # 4. Learning (Table 1), one policy per role.  Cores learn only
-        #    from promotions (handled in the pickup above).
         if role is _ROLE_TOR:
             if cache is not None:
                 result = cache.insert(packet.src_vip, packet.outer_src)
@@ -374,12 +557,12 @@ class SwitchV2P(CachingScheme):
     def _try_pickup_spill(self, switch: Switch, packet: Packet,
                           role: Role | None, cache) -> None:
         """Downstream switches attempt to re-admit a spilled entry."""
-        if role == Role.CORE or cache is None:
+        if role is _ROLE_CORE or cache is None:
             return  # Cores learn from promotions only (Table 1).
         vip, pip = packet._spill_entry
         if self._negative and self._negative_blocks(vip, pip):
             return
-        conservative = role in (Role.SPINE, Role.GATEWAY_SPINE)
+        conservative = role is _ROLE_SPINE or role is _ROLE_GATEWAY_SPINE
         result = cache.insert(vip, pip, only_if_clear=conservative)
         if result.admitted:
             packet.spill_entry = result.evicted

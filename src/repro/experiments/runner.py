@@ -10,6 +10,7 @@ e.g. Bluebird dropping everything — still terminate).
 
 from __future__ import annotations
 
+import gc
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -145,8 +146,18 @@ def build_network(spec: FatTreeSpec, scheme, num_vms: int, seed: int = 0,
     if gateway_processing_ns is not None:
         kwargs["gateway_processing_ns"] = gateway_processing_ns
     config = NetworkConfig(spec=spec, seed=seed, fidelity=fidelity, **kwargs)
-    network = VirtualNetwork(config, scheme)
-    network.place_vms(num_vms)
+    # Construction allocates many long-lived objects and no garbage
+    # cycles, so cyclic collections during it only rescan the growing
+    # heap; pause the collector as Engine.run does.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        network = VirtualNetwork(config, scheme)
+        network.place_vms(num_vms)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return network
 
 

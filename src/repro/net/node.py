@@ -290,15 +290,13 @@ class Switch(Node):
                 egress = self.host_links.get(dst)
             else:
                 # Inlined _ecmp_up() memo hit (the overwhelmingly
-                # common case on a fault-free fabric); misses and
-                # faulty fabrics take the full method.
-                fabric = self.fabric
-                if fabric is None or fabric.fault_count == 0:
-                    egress = self._ecmp_memo.get(packet.flow_id ^ dst)
-                    if egress is None or not egress.up \
-                            or egress.dst._failed:
-                        egress = self._ecmp_up(packet, dst)
-                else:
+                # common case on a fault-free fabric); misses take the
+                # full method.  Under faults the memo is empty — every
+                # fault transition flushes it and _ecmp_up() fills it
+                # only while the fabric is fault-free — so faulty
+                # fabrics always reach the method.
+                egress = self._ecmp_memo.get(packet.flow_id ^ dst)
+                if egress is None or not egress.up or egress.dst._failed:
                     egress = self._ecmp_up(packet, dst)
         elif layer is _SPINE:
             if dst_pod == self.pod:
@@ -306,13 +304,8 @@ class Switch(Node):
                 downs = self.down_links
                 egress = downs[rack] if rack < len(downs) else None
             else:
-                fabric = self.fabric
-                if fabric is None or fabric.fault_count == 0:
-                    egress = self._ecmp_memo.get(packet.flow_id ^ dst)
-                    if egress is None or not egress.up \
-                            or egress.dst._failed:
-                        egress = self._ecmp_up(packet, dst)
-                else:
+                egress = self._ecmp_memo.get(packet.flow_id ^ dst)
+                if egress is None or not egress.up or egress.dst._failed:
                     egress = self._ecmp_up(packet, dst)
         else:
             pods = self.pod_links
@@ -334,7 +327,7 @@ class Switch(Node):
         busy = egress._busy_until
         size = packet._wire_bytes
         pending_ns = busy - now
-        backlog = int(pending_ns * egress.rate_bps / 8e9) if pending_ns > 0 else 0
+        backlog = int(pending_ns * egress._rate_bps / 8e9) if pending_ns > 0 else 0
         if backlog + size > egress.buffer_bytes:
             lstats.drops += 1
             stats.drops += 1
@@ -342,7 +335,7 @@ class Switch(Node):
         start = busy if busy > now else now
         ser_ns = egress._ser_cache.get(size)
         if ser_ns is None:
-            ser_ns = int(round(size * 8e9 / egress.rate_bps))
+            ser_ns = int(round(size * 8e9 / egress._rate_bps))
             egress._ser_cache[size] = ser_ns
         finish = start + ser_ns
         egress._busy_until = finish

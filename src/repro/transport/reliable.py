@@ -25,6 +25,10 @@ from repro.net.packet import MSS_BYTES, Packet, PacketKind
 from repro.sim.engine import usec
 from repro.vnet.hypervisor import Host
 
+# Enum members bound once: segments and ACKs are built per packet.
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -100,7 +104,7 @@ class ReliableSender:
     def _send_segment(self, seq: int) -> None:
         host = self.host
         host.send(host.new_packet(
-            PacketKind.DATA, self.record.flow_id, seq, self._payload_of(seq),
+            _DATA, self.record.flow_id, seq, self._payload_of(seq),
             self.record.src_vip, self.record.dst_vip))
 
     def _send_window(self) -> None:
@@ -263,17 +267,12 @@ class ReliableReceiver:
             while self.rcv_next in self._out_of_order:
                 self._out_of_order.discard(self.rcv_next)
                 self.rcv_next += 1
-        # Inlined _send_ack (one ACK per data packet received).
+        # One cumulative ACK per data packet received.
         host.send(host.new_packet(
-            PacketKind.ACK, packet.flow_id, self.rcv_next, 0,
+            _ACK, packet.flow_id, self.rcv_next, 0,
             packet.dst_vip, packet.src_vip))
         if not self._completed and self.rcv_next >= self.total_packets:
             self._completed = True
             record.fct_ns = now - record.start_ns
             if self.on_complete is not None:
                 self.on_complete(record)
-
-    def _send_ack(self, packet: Packet, host: Host) -> None:
-        host.send(host.new_packet(
-            PacketKind.ACK, packet.flow_id, self.rcv_next, 0,
-            packet.dst_vip, packet.src_vip))
